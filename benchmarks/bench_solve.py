@@ -14,10 +14,14 @@ count, grid level — only calibration scalars differ) two ways:
     convergence masking.
 
 The two are *not* bit-identical (the batched Newton takes its own path to
-the same fixed point) — the benchmark asserts the final policies agree to
-solver tolerance and that every scenario converges in the same number of
-iterations, then reports the wall-time speedup.  The CI quick-bench guard
-requires the batched path to be at least 2x faster.
+the same fixed point) — the benchmark raises unless the final policies
+agree to solver tolerance and every scenario converges in the same number
+of iterations, then reports the wall-time speedup.  The CI quick-bench
+guard requires the batched path to be at least 2x faster.
+
+Per mode the artifact also records the point solves, the points left
+unconverged by the solver's own rule, and the scipy polish calls (the
+fallback for points Newton cannot converge).
 
 Writes a ``BENCH_solve.json`` artifact (repo root) for the perf trajectory.
 
@@ -31,12 +35,14 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.batched import BatchedTimeIterationSolver, BatchMember
 from repro.core.time_iteration import TimeIterationSolver
+from repro.olg.solver import BatchNewtonSolver, NewtonSolver
 from repro.scenarios.spec import ScenarioSpec, ScenarioSuite
 
 
@@ -55,6 +61,49 @@ def sweep_suite(quick: bool = False) -> ScenarioSuite:
             "calibration.beta": [0.78, 0.82] if quick else [0.76, 0.78, 0.80, 0.82],
         },
     )
+
+
+@contextmanager
+def _solve_counts():
+    """Count point solves, unconverged points and scipy polish calls.
+
+    A point is unconverged when its Newton solve says so, unless a polish
+    outside a scalar Newton (a stalled batch row) then converges it.
+    """
+    counts = {"point_solves": 0, "unconverged_points": 0, "polish_calls": 0}
+    newton, batch, polish = NewtonSolver.solve, BatchNewtonSolver.solve, NewtonSolver._scipy_solve
+    in_newton = [0]
+
+    def newton_solve(self, *args, **kwargs):
+        in_newton[0] += 1
+        try:
+            result = newton(self, *args, **kwargs)
+        finally:
+            in_newton[0] -= 1
+        counts["point_solves"] += 1
+        counts["unconverged_points"] += int(not result.converged)
+        return result
+
+    def batch_solve(self, *args, **kwargs):
+        result = batch(self, *args, **kwargs)
+        counts["point_solves"] += int(result.converged.size)
+        counts["unconverged_points"] += int(np.sum(~result.converged))
+        return result
+
+    def polish_solve(self, *args, **kwargs):
+        result = polish(self, *args, **kwargs)
+        counts["polish_calls"] += 1
+        if result.converged and not in_newton[0]:
+            counts["unconverged_points"] -= 1
+        return result
+
+    NewtonSolver.solve, BatchNewtonSolver.solve = newton_solve, batch_solve
+    NewtonSolver._scipy_solve = polish_solve
+    try:
+        yield counts
+    finally:
+        NewtonSolver.solve, BatchNewtonSolver.solve = newton, batch
+        NewtonSolver._scipy_solve = polish
 
 
 def _policy_diff(a, b) -> float:
@@ -80,20 +129,22 @@ def bench(quick: bool = False) -> dict:
     warm = specs[0]
     TimeIterationSolver(warm.build_model(), warm.build_config()).solve()
 
-    t0 = time.perf_counter()
-    sequential = [
-        TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
-        for spec in specs
-    ]
-    sequential_s = time.perf_counter() - t0
+    with _solve_counts() as sequential_counts:
+        t0 = time.perf_counter()
+        sequential = [
+            TimeIterationSolver(spec.build_model(), spec.build_config()).solve()
+            for spec in specs
+        ]
+        sequential_s = time.perf_counter() - t0
 
     members = [
         BatchMember(key=spec.name, model=spec.build_model(), config=spec.build_config())
         for spec in specs
     ]
-    t0 = time.perf_counter()
-    outcomes = BatchedTimeIterationSolver(members).solve()
-    batched_s = time.perf_counter() - t0
+    with _solve_counts() as batched_counts:
+        t0 = time.perf_counter()
+        outcomes = BatchedTimeIterationSolver(members).solve()
+        batched_s = time.perf_counter() - t0
 
     tolerance = float(specs[0].solver["tolerance"])
     max_diff = 0.0
@@ -123,6 +174,15 @@ def bench(quick: bool = False) -> dict:
         raise RuntimeError(
             f"batched policies diverge from sequential: {max_diff:.3e} >= {tolerance:g}"
         )
+    mismatched = [
+        f"{s['name']} ({s['iterations_sequential']} vs {s['iterations_batched']})"
+        for s in scenarios
+        if s["iterations_sequential"] != s["iterations_batched"]
+    ]
+    if mismatched:
+        raise RuntimeError(
+            "batched iteration counts differ from sequential: " + ", ".join(mismatched)
+        )
 
     return {
         "benchmark": "solve",
@@ -134,6 +194,7 @@ def bench(quick: bool = False) -> dict:
         "batched_seconds": batched_s,
         "speedup": sequential_s / batched_s,
         "max_policy_diff": max_diff,
+        "solve_counts": {"sequential": sequential_counts, "batched": batched_counts},
         "scenarios": scenarios,
     }
 
@@ -159,6 +220,12 @@ def main(argv: list[str] | None = None) -> int:
         f"speedup={artifact['speedup']:.2f}x  "
         f"max_policy_diff={artifact['max_policy_diff']:.3e}"
     )
+    for mode, counts in artifact["solve_counts"].items():
+        print(
+            f"  {mode:<10} point_solves={counts['point_solves']:5d}  "
+            f"unconverged={counts['unconverged_points']:4d}  "
+            f"polish_calls={counts['polish_calls']:4d}"
+        )
     args.out.write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

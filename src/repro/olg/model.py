@@ -29,9 +29,14 @@ ages.  The residuals are the Euler equations
 
 where next-period consumption interpolates the *next iterate's* policy
 functions of all ``Ns`` shock states (the interpolation bottleneck the
-paper optimises).  Savings are solved in log space, which keeps them
-strictly positive (an interior-solution version of the paper's Ipopt bound
-constraints).
+paper optimises).  Savings are solved in log space, bounded below by
+``_LOG_SAVINGS_FLOOR`` (savings of ~1e-7: the borrowing constraint), as
+the complementarity problem the paper hands to Ipopt with bound
+constraints: for each age ``a`` either the Euler residual ``R_a`` vanishes,
+or log-savings sit on the floor and ``R_a > 0`` (the agent would like to
+borrow but may not).  The point solvers drive the min-map
+``min(R, log_savings - floor)`` to zero (see :mod:`repro.olg.solver`), so
+constrained points converge in Newton like interior ones.
 """
 
 from __future__ import annotations
@@ -356,7 +361,7 @@ class OLGModel:
             savings = np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
             return self.euler_residuals(z, x, savings, policy_next)
 
-        result = self.solver.solve(residual, log_guess)
+        result = self.solver.solve(residual, log_guess, lower=_LOG_SAVINGS_FLOOR)
         savings = np.exp(np.clip(result.x, _LOG_SAVINGS_FLOOR, 30.0))
         values = self.value_functions(z, x, savings, policy_next)
         return np.concatenate([savings, values])
@@ -579,9 +584,10 @@ class OLGModel:
         Newton iteration is vectorized across points so each residual
         evaluation interpolates next period's policies at all active points
         in one kernel call per shock state.  Rows the batched Newton cannot
-        converge fall back to the scalar :meth:`solve_point` (which retries
-        from the original guess and includes the scipy fallback), so the
-        result matches the sequential path to solver tolerance everywhere.
+        converge (rare: both paths solve the same bound-constrained system)
+        get the scipy polish the scalar solver applies after its own Newton
+        stalls, so the result matches the sequential path to solver
+        tolerance everywhere.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         m = X.shape[0]
@@ -593,7 +599,7 @@ class OLGModel:
             return self.euler_residuals_batch(z, X[rows], savings, policy_next)
 
         batch_solver = BatchNewtonSolver.from_scalar(self.solver)
-        result = batch_solver.solve(residual, log_guess)
+        result = batch_solver.solve(residual, log_guess, lower=_LOG_SAVINGS_FLOOR)
         savings = np.exp(np.clip(result.x, _LOG_SAVINGS_FLOOR, 30.0))
 
         # stalled rows: scipy polish from the batch's best iterate, exactly
@@ -607,7 +613,12 @@ class OLGModel:
                     return self.euler_residuals(z, x, sav, policy_next)
 
                 polished = self.solver._scipy_solve(
-                    res1, result.x[row], 0, 0, float(result.residual_norm[row])
+                    res1,
+                    result.x[row],
+                    0,
+                    0,
+                    float(result.residual_norm[row]),
+                    lower=_LOG_SAVINGS_FLOOR,
                 )
                 savings[row] = np.exp(np.clip(polished.x, _LOG_SAVINGS_FLOOR, 30.0))
         values = self.value_functions_batch(z, X, savings, policy_next)

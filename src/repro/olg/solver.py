@@ -1,12 +1,25 @@
 """Nonlinear solvers for the per-grid-point equilibrium systems.
 
 The paper solves the ~60-equation nonlinear system at every grid point with
-Ipopt.  This reproduction uses a damped Newton method with a finite
-difference Jacobian and a backtracking line search, falling back to
-``scipy.optimize.root`` (Powell hybrid) when Newton stalls — the surrounding
-code path (repeated interpolation of next-period policies inside the
-residual function) is identical, which is what matters for the performance
-experiments.
+Ipopt under bound constraints.  This reproduction uses a damped Newton
+method with a finite-difference Jacobian and a backtracking line search.
+A lower bound turns the root-finding problem ``F(x) = 0`` into the
+complementarity (KKT) problem
+
+    ``x >= lower,  F(x) >= 0,  (x - lower) * F(x) = 0``
+
+which the solvers attack through its min-map reformulation
+
+    ``Phi(x) = min(F(x), x - lower) = 0``   (componentwise)
+
+— a semismooth system whose root is either an interior root of ``F`` or
+sits on the bound where ``F`` pushes against it.  Without a bound
+``Phi = F``.  Every acceptance test, line search and reported residual uses
+``Phi``.  ``scipy.optimize.root`` (Powell hybrid) on the same ``Phi``
+remains the rare fallback for points Newton cannot converge; the
+surrounding code path (repeated interpolation of next-period policies
+inside the residual function) is identical, which is what matters for the
+performance experiments.
 """
 
 from __future__ import annotations
@@ -18,6 +31,21 @@ import numpy as np
 from scipy import optimize
 
 __all__ = ["PointSolveResult", "NewtonSolver", "BatchSolveResult", "BatchNewtonSolver"]
+
+#: a lower bound on the unknowns: scalar, per-component array, or none
+Bound = float | np.ndarray | None
+
+
+def _min_map(fn: Callable, lower: Bound) -> Callable:
+    """``x -> min(fn(x), x - lower)``; ``fn`` itself when ``lower`` is None."""
+    if lower is None:
+        return fn
+
+    def phi(*args):
+        x = args[-1]
+        return np.minimum(np.asarray(fn(*args), dtype=float), x - lower)
+
+    return phi
 
 
 @dataclass
@@ -40,7 +68,8 @@ class NewtonSolver:
     Parameters
     ----------
     tol
-        Convergence tolerance on the residual infinity norm.
+        Convergence tolerance on the residual infinity norm (of the min-map
+        ``Phi`` when a lower bound is given).
     max_iterations
         Newton iteration cap before the fallback kicks in.
     fd_step
@@ -81,8 +110,14 @@ class NewtonSolver:
             jac[:, j] = (fp - fx) / step
         return jac
 
-    def solve(self, fn: Callable, x0: np.ndarray) -> PointSolveResult:
-        """Solve ``fn(x) = 0`` starting from ``x0``."""
+    def solve(self, fn: Callable, x0: np.ndarray, lower: Bound = None) -> PointSolveResult:
+        """Solve ``fn(x) = 0`` starting from ``x0``.
+
+        With a ``lower`` bound (scalar or per-component) the solve targets
+        ``min(fn(x), x - lower) = 0`` instead: components may stop on the
+        bound where ``fn`` is positive there.
+        """
+        fn = _min_map(fn, lower)
         x = np.array(x0, dtype=float).copy()
         evals = [0]
         fx = np.asarray(fn(x), dtype=float)
@@ -127,8 +162,20 @@ class NewtonSolver:
         return PointSolveResult(best_x, best_norm, False, iterations, evals[0])
 
     def _scipy_solve(
-        self, fn: Callable, x0: np.ndarray, iterations: int, evals: int, best_norm: float
+        self,
+        fn: Callable,
+        x0: np.ndarray,
+        iterations: int,
+        evals: int,
+        best_norm: float,
+        lower: Bound = None,
     ) -> PointSolveResult:
+        """Powell-hybrid polish of ``fn`` (min-mapped by ``lower``) from ``x0``.
+
+        Accepted under the same rule as Newton's (``norm < tol``); when it
+        does not improve on ``best_norm`` the starting point is kept.
+        """
+        fn = _min_map(fn, lower)
         counter = [evals]
 
         def counted(x):
@@ -141,7 +188,7 @@ class NewtonSolver:
             return PointSolveResult(
                 np.asarray(sol.x, dtype=float),
                 norm,
-                bool(norm < self.tol * 10),
+                bool(norm < self.tol),
                 iterations,
                 counter[0],
             )
@@ -167,8 +214,11 @@ class BatchNewtonSolver:
     infinity norm — but row-masked over ``m`` systems at once, so every
     residual evaluation is ONE vectorized call over all still-active rows
     instead of ``m`` scalar calls.  Rows whose line search stalls are
-    deactivated and reported unconverged (callers fall back to the scalar
-    solver, which retries from scratch and includes the scipy fallback).
+    deactivated and reported unconverged; callers polish them one by one
+    with :meth:`NewtonSolver._scipy_solve`.  For systems whose solution may
+    sit on a bound, pass that ``lower`` bound: a row pinned there has no
+    interior root and would otherwise stall, so the polish stays a rare
+    fallback.
 
     The residual callback receives ``(rows, X)`` where ``rows`` indexes the
     original batch (so the callback can look up per-row problem data) and
@@ -199,8 +249,13 @@ class BatchNewtonSolver:
             max_step=solver.max_step,
         )
 
-    def solve(self, fn: Callable, x0: np.ndarray) -> BatchSolveResult:
-        """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n)."""
+    def solve(self, fn: Callable, x0: np.ndarray, lower: Bound = None) -> BatchSolveResult:
+        """Solve ``fn(rows, X) = 0`` row-wise starting from ``x0`` (m, n).
+
+        ``lower`` (scalar or per-column) switches every row to the min-map
+        ``min(fn(rows, X), X - lower) = 0``, as in :meth:`NewtonSolver.solve`.
+        """
+        fn = _min_map(fn, lower)
         X = np.array(x0, dtype=float)
         if X.ndim != 2:
             raise ValueError("x0 must be (m, n)")

@@ -13,10 +13,13 @@ of scalar calls.
 Structural ingredients that change the *shape* of the system — the age
 profile, preferences, technology, fiscal rule, nonlinear-solver settings —
 must agree across members; :class:`StructuralMismatch` is raised otherwise
-and the caller falls back to per-scenario solves.  Rows the batched Newton
-cannot converge fall back to the member's scalar
-:meth:`~repro.olg.model.OLGModel.solve_point` (which includes the scipy
-retry), so results match the sequential path to solver tolerance.
+and the caller falls back to per-scenario solves.  Every row is solved as
+the same bound-constrained (KKT) system as
+:meth:`~repro.olg.model.OLGModel.solve_point`, so rows where the borrowing
+constraint binds converge in the batched Newton too.  The rare rows it
+still cannot converge get the scalar solver's scipy polish through the
+member's own scalar residual, so results match the sequential path to
+solver tolerance.
 """
 
 from __future__ import annotations
@@ -25,11 +28,11 @@ import numpy as np
 
 from repro.core.policy import PolicySet
 from repro.grids.interpolation import evaluate_stacked
+from repro.olg.model import _LOG_SAVINGS_FLOOR
 from repro.olg.solver import BatchNewtonSolver
 
 __all__ = ["StackedOLGGroup", "StructuralMismatch"]
 
-_LOG_SAVINGS_FLOOR = -16.0  # keep in sync with repro.olg.model
 _SHOCK_LABELS = ("productivity", "depreciation", "tau_labor", "tau_capital")
 
 
@@ -313,18 +316,17 @@ class StackedOLGGroup:
             savings = np.exp(np.clip(log_savings, _LOG_SAVINGS_FLOOR, 30.0))
             return self.euler_residuals_rows(z, rows, X_row[rows], savings, policies)
 
-        result = self._batch_solver.solve(residual, log_guess)
+        result = self._batch_solver.solve(residual, log_guess, lower=_LOG_SAVINGS_FLOOR)
         savings = np.exp(np.clip(result.x, _LOG_SAVINGS_FLOOR, 30.0))
 
         total = X_row.shape[0]
         ns = self.base.num_savers
         out = np.empty((total, self.base.num_policies), dtype=float)
-        # Rows the batched Newton stalled on get the same treatment the
-        # scalar solver applies after ITS Newton stalls: a scipy polish from
-        # the best iterate, accepted when it does not worsen the residual
-        # (the scalar path, too, proceeds with its best point when even
-        # scipy cannot converge — cold-start systems routinely do this and
-        # the points converge in later time iterations).
+        # Rows the batched Newton stalled on (rare) get the same treatment
+        # the scalar solver applies after ITS Newton stalls: a scipy polish
+        # of the same bound-constrained system from the best iterate,
+        # accepted when it does not worsen the residual (the scalar path,
+        # too, proceeds with its best point when even scipy cannot converge).
         for row in np.flatnonzero(~result.converged):
             member = int(self.row_member[row])
             model = self.models[member]
@@ -338,7 +340,12 @@ class StackedOLGGroup:
                 return model.euler_residuals(z, x, sav, policy)
 
             polished = model.solver._scipy_solve(
-                res1, result.x[row], 0, 0, float(result.residual_norm[row])
+                res1,
+                result.x[row],
+                0,
+                0,
+                float(result.residual_norm[row]),
+                lower=_LOG_SAVINGS_FLOOR,
             )
             savings[row] = np.exp(np.clip(polished.x, _LOG_SAVINGS_FLOOR, 30.0))
         all_rows = np.arange(total)
